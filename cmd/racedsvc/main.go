@@ -1,5 +1,5 @@
-// Command racedsvc is the long-running detection service: a multi-tenant
-// HTTP front end over the race-detection harness. Clients POST run
+// Command racedsvc is the long-running detection service: a single-node,
+// in-memory HTTP front end over the race-detection harness. Clients POST run
 // requests to open sessions; each session executes its own System with a
 // dedicated scoped telemetry recorder under admission control (a bounded
 // concurrent-session pool with a bounded queue and per-session wall
@@ -11,15 +11,12 @@
 //
 //	racedsvc -addr :8321
 //	racedsvc -addr :8321 -max-sessions 8 -queue 128 -session-timeout 5m
-//	racedsvc -addr :8321 -data /var/lib/racedsvc        # durable report store
-//	racedsvc -addr :8321 -tenant-max-active 4           # per-tenant quotas
 //
 // Then:
 //
 //	curl -s localhost:8321/healthz
 //	curl -s -X POST localhost:8321/sessions -d '{"app":"TSP","procs":4}'
 //	curl -s localhost:8321/reports/stream?since=0
-//	sweeprun -apps TSP,Water -procs 2,4 -remote localhost:8321
 package main
 
 import (
@@ -45,38 +42,20 @@ func main() {
 	subBuf := flag.Int("subscriber-buf", service.DefaultSubscriberBuf, "per-subscriber buffer (records)")
 	keepDone := flag.Int("keep-done", 1024, "finished sessions kept queryable")
 	grace := flag.Duration("grace", 10*time.Second, "shutdown grace for in-flight HTTP requests")
-	dataDir := flag.String("data", "", "durable report-store directory: records persist to a content-addressed segment log and replay on restart (empty = in-memory only)")
-	storeSync := flag.Int("store-sync", 1, "fsync the report log every N records (1 = every record durable before the append returns; negative = only on shutdown)")
-	tenantMaxActive := flag.Int("tenant-max-active", 0, "per-tenant cap on queued+running sessions; beyond it that tenant gets 429 (0 = unlimited)")
-	tenantMaxQueued := flag.Int("tenant-max-queued", 0, "per-tenant cap on queued sessions (0 = unlimited)")
 	flag.Parse()
 
-	svc, replay, err := service.Open(service.Config{
-		MaxSessions:     *maxSessions,
-		QueueDepth:      *queue,
-		SessionTimeout:  *sessionTimeout,
-		StoreCap:        *storeCap,
-		SubscriberBuf:   *subBuf,
-		KeepDone:        *keepDone,
-		DataDir:         *dataDir,
-		StoreSyncEvery:  *storeSync,
-		TenantMaxActive: *tenantMaxActive,
-		TenantMaxQueued: *tenantMaxQueued,
+	svc := service.New(service.Config{
+		MaxSessions:    *maxSessions,
+		QueueDepth:     *queue,
+		SessionTimeout: *sessionTimeout,
+		StoreCap:       *storeCap,
+		SubscriberBuf:  *subBuf,
+		KeepDone:       *keepDone,
 	})
-	if err != nil {
-		log.Fatalf("racedsvc: opening report store: %v", err)
-	}
-	if *dataDir != "" {
-		fmt.Printf("report store: durable at %s (%d records replayed, resuming at seq %d)\n",
-			*dataDir, replay.Records, replay.LastSeq+1)
-		if replay.Truncation != "" {
-			fmt.Fprintf(os.Stderr, "racedsvc: WARNING: %s\n", replay.Truncation)
-		}
-	}
 	// WriteTimeout 0: /reports/stream subscribers hold their response open
 	// for as long as they like; per-write deadlines would cut them off.
 	srv, bound, err := cli.Serve(*addr, cli.Mux(svc.Handler()), 0)
-	if err != nil { // svc.Close syncs the report log even on listen failure
+	if err != nil {
 		svc.Close()
 		log.Fatal(err)
 	}

@@ -14,7 +14,6 @@
 //	sweeprun -apps Water -metrics-addr :9090        # live /metrics, /sweep
 //	sweeprun -apps TSP -drop 0.05 -seeds 0,1,2      # wire-fault sweep
 //	sweeprun -apps ChaosTSP -crash single,double -corrupt none,chunk -seeds 0,1
-//	sweeprun -apps TSP,Water -remote host:8321      # dispatch cells to racedsvc
 //	sweeprun -apps KV,Sessions -frontends go -hot-skews 0,0.8 -racy 0,1 -seeds 0,1
 package main
 
@@ -29,7 +28,6 @@ import (
 	"time"
 
 	"lrcrace/cmd/internal/cli"
-	"lrcrace/internal/service"
 	"lrcrace/internal/sweep"
 )
 
@@ -62,8 +60,6 @@ func main() {
 	out := flag.String("out", "", "write the summary JSON here")
 	metricsOut := flag.String("metrics-out", "", "write the aggregated metrics JSON here (deterministic)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live /metrics, /sweep and /flight/<cell> on this address during the run")
-	remote := flag.String("remote", "", "dispatch cells to racedsvc nodes (comma-separated addresses) instead of running locally; failed nodes fail over")
-	tenant := flag.String("tenant", "", "tenant identity stamped on remote sessions (quota accounting)")
 	flag.Parse()
 
 	plan, err := buildPlan(*planFile, axisFlags{
@@ -101,12 +97,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	var summary *sweep.Summary
-	if *remote != "" {
-		summary, err = runRemote(ctx, s, plan, cli.Strings(*remote), *tenant, *workers)
-	} else {
-		summary, err = s.Run(ctx)
-	}
+	summary, err := s.Run(ctx)
 	if err != nil {
 		// An interrupted sweep still summarizes what finished; the
 		// checkpoint directory (if any) lets the next invocation resume.
@@ -131,35 +122,6 @@ func main() {
 	if summary.OK != summary.Total {
 		os.Exit(1)
 	}
-}
-
-// runRemote dispatches every pending cell across the detection-service
-// nodes as sessions and merges the returned results through sweep.Record
-// — the same results map and checkpoint files a local run uses, so the
-// summary, metrics document, and resume behavior are identical to
-// running locally. With several nodes, cells go to the least-loaded live
-// node and fail over to survivors when a node dies mid-run.
-func runRemote(ctx context.Context, s *sweep.Sweep, plan *sweep.Plan, addrs []string, tenant string, workers int) (*sweep.Summary, error) {
-	if len(addrs) == 0 {
-		return s.Summary(), fmt.Errorf("remote dispatch: no node addresses")
-	}
-	d := service.NewDispatcher(addrs, service.DispatchConfig{
-		Workers: workers,
-		Logf: func(format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	}).Tenant(tenant)
-	pending := s.Pending()
-	fmt.Printf("remote dispatch: %d pending cells -> %d node(s)\n", len(pending), len(addrs))
-	err := d.Run(ctx, pending, plan.Faults, plan.RealMsgDelayUS, s.Record)
-	for _, ns := range d.Stats() {
-		fmt.Printf("node %s: %d cells, %d failures, %d breaker trips\n",
-			ns.Addr, ns.Dispatched, ns.Failures, ns.BreakerTrips)
-	}
-	if n := d.Redispatches(); n > 0 {
-		fmt.Printf("failover re-dispatches: %d\n", n)
-	}
-	return s.Summary(), err
 }
 
 type axisFlags struct {

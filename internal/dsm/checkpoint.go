@@ -324,7 +324,7 @@ func (p *Proc) checkpointLocked() {
 	if removed, freed := cs.GC(p.n); removed > 0 {
 		p.tel.Emit(p.id, telemetry.KCkptGC, p.vnow, int64(removed), freed, 0)
 	}
-	dbgf("p%d checkpoint epoch %d: manifest %dB, chunks %d (%d dedup, %dB new)",
+	telemetry.Logf(p.id, p.vnow, "p%d checkpoint epoch %d: manifest %dB, chunks %d (%d dedup, %dB new)",
 		p.id, p.epoch, len(manifest), cst.puts, cst.hits, cst.newBytes)
 }
 

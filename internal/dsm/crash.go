@@ -185,7 +185,7 @@ type endpointKiller interface {
 // this victim; the firing plan is recorded on the process for crashNow.
 func (p *Proc) shouldCrashLocked(site crashSite) bool {
 	var countedAccess, countedLock bool
-	for _, cp := range p.sys.crashes {
+	for _, cp := range p.sys.cfg.Crashes {
 		if cp.Victim != p.id || cp.fired.Load() {
 			continue
 		}
@@ -246,7 +246,7 @@ func (p *Proc) crashNow() {
 	}
 	p.mu.Unlock()
 	p.tel.Emit(p.id, telemetry.KCrashInjected, v, int64(pt), int64(p.id), 0)
-	dbgf("p%d CRASH injected (%v, vt=%d)", p.id, pt, v)
+	telemetry.Logf(p.id, v, "p%d CRASH injected (%v, vt=%d)", p.id, pt, v)
 	if k, ok := p.sys.nw.(endpointKiller); ok {
 		k.KillEndpoint(p.id)
 	}

@@ -211,7 +211,7 @@ func shardedRecoverySys(t *testing.T, nproc int, proto ProtocolKind, crash *Cras
 			MaxRetries: 8,
 		},
 		BarrierWallTimeout: 2 * time.Second,
-		Crash:              crash,
+		Crashes:            plans(crash),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -262,7 +262,7 @@ func treeRecoverySys(t *testing.T, nproc int, proto ProtocolKind, crash *CrashPl
 			MaxRetries: 8,
 		},
 		BarrierWallTimeout: 2 * time.Second,
-		Crash:              crash,
+		Crashes:            plans(crash),
 	})
 	if err != nil {
 		t.Fatal(err)

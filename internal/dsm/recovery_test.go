@@ -19,6 +19,14 @@ import (
 // the reliable sublayer with an aggressive retry cap (so link death is
 // declared in milliseconds), and the barrier wall timeout as the detection
 // backstop for crashes that leave no survivor→victim traffic.
+// plans wraps an optional crash plan as Config.Crashes (nil → no crash).
+func plans(crash *CrashPlan) []*CrashPlan {
+	if crash == nil {
+		return nil
+	}
+	return []*CrashPlan{crash}
+}
+
 func recoverySys(t *testing.T, nproc int, proto ProtocolKind, crash *CrashPlan) *System {
 	t.Helper()
 	s, err := New(Config{
@@ -42,7 +50,7 @@ func recoverySys(t *testing.T, nproc int, proto ProtocolKind, crash *CrashPlan) 
 			MaxRetries: 8,
 		},
 		BarrierWallTimeout: 2 * time.Second,
-		Crash:              crash,
+		Crashes:            plans(crash),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -458,46 +466,46 @@ func TestCrashConfigValidation(t *testing.T) {
 		}
 	}
 	ok := base()
-	ok.Crash = &CrashPlan{Victim: 1}
+	ok.Crashes = []*CrashPlan{{Victim: 1}}
 	if _, err := New(ok); err != nil {
 		t.Fatalf("valid crash config rejected: %v", err)
 	}
 
 	noCkpt := base()
 	noCkpt.NoCheckpoint = true
-	noCkpt.Crash = &CrashPlan{Victim: 1}
+	noCkpt.Crashes = []*CrashPlan{{Victim: 1}}
 	if _, err := New(noCkpt); err == nil {
 		t.Error("Crash without Checkpoint accepted")
 	}
 
 	noDetect := base()
 	noDetect.BarrierWallTimeout = 0
-	noDetect.Crash = &CrashPlan{Victim: 1}
+	noDetect.Crashes = []*CrashPlan{{Victim: 1}}
 	if _, err := New(noDetect); err == nil {
 		t.Error("Crash with no failure-detection path accepted")
 	}
 
 	master := base()
-	master.Crash = &CrashPlan{Victim: 0}
+	master.Crashes = []*CrashPlan{{Victim: 0}}
 	if _, err := New(master); err == nil {
 		t.Error("crash of the barrier master accepted")
 	}
 
 	outOfRange := base()
-	outOfRange.Crash = &CrashPlan{Victim: 2}
+	outOfRange.Crashes = []*CrashPlan{{Victim: 2}}
 	if _, err := New(outOfRange); err == nil {
 		t.Error("victim out of range accepted")
 	}
 
 	badRec := base()
-	badRec.Crash = &CrashPlan{Victim: 1}
+	badRec.Crashes = []*CrashPlan{{Victim: 1}}
 	badRec.MaxRecoveries = -1
 	if _, err := New(badRec); err == nil {
 		t.Error("negative MaxRecoveries accepted")
 	}
 
 	badVT := base()
-	badVT.Crash = &CrashPlan{Victim: 1, Point: CrashAtVTime}
+	badVT.Crashes = []*CrashPlan{{Victim: 1, Point: CrashAtVTime}}
 	if _, err := New(badVT); err == nil {
 		t.Error("CrashAtVTime without VTime accepted")
 	}
@@ -510,7 +518,7 @@ func TestCrashConfigValidation(t *testing.T) {
 
 	corruptNoCkpt := base()
 	corruptNoCkpt.NoCheckpoint = true
-	corruptNoCkpt.Crash = &CrashPlan{Victim: 1}
+	corruptNoCkpt.Crashes = []*CrashPlan{{Victim: 1}}
 	corruptNoCkpt.Corruption = &CorruptionPlan{Epoch: 1, Count: 1}
 	if _, err := New(corruptNoCkpt); err == nil {
 		t.Error("Corruption with NoCheckpoint accepted")

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"lrcrace/internal/apps"
@@ -23,8 +24,10 @@ func ValidateRunConfig(cfg RunConfig) error {
 	if cfg.Procs < 1 {
 		return fmt.Errorf("harness: Procs = %d (want >= 1)", cfg.Procs)
 	}
-	if cfg.Scale < 0 {
-		return fmt.Errorf("harness: negative Scale %g", cfg.Scale)
+	// Written as !(x >= 0) so that NaN, which fails every comparison, is
+	// rejected too.
+	if !(cfg.Scale >= 0) || math.IsInf(cfg.Scale, 1) {
+		return fmt.Errorf("harness: Scale = %g (want a finite value >= 0)", cfg.Scale)
 	}
 	if !KnownFrontend(cfg.Frontend) {
 		return fmt.Errorf("harness: unknown frontend %q (have %s)", cfg.Frontend, strings.Join(Frontends, ", "))
@@ -81,7 +84,7 @@ func validateGoFront(cfg RunConfig) error {
 		return fmt.Errorf("harness: unknown go-frontend workload %q (have %s)",
 			cfg.App, strings.Join(gofront.Workloads(), ", "))
 	}
-	if cfg.HotKeySkew < 0 || cfg.HotKeySkew >= 1 {
+	if !(cfg.HotKeySkew >= 0 && cfg.HotKeySkew < 1) {
 		return fmt.Errorf("harness: HotKeySkew = %g (want [0,1))", cfg.HotKeySkew)
 	}
 	if cfg.OpsPerClient < 0 {

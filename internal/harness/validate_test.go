@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -29,6 +30,10 @@ func TestValidateRunConfig(t *testing.T) {
 		{RunConfig{Procs: 2}, "no application"},
 		{RunConfig{App: "FFT", Procs: 0}, "Procs"},
 		{RunConfig{App: "FFT", Procs: 2, Scale: -1}, "Scale"},
+		{RunConfig{App: "FFT", Procs: 2, Scale: math.NaN()}, "Scale"},
+		{RunConfig{App: "FFT", Procs: 2, Scale: math.Inf(1)}, "Scale"},
+		{RunConfig{App: "FFT", Procs: 2, Scale: math.Inf(-1)}, "Scale"},
+		{RunConfig{App: "KV", Frontend: "go", Procs: 2, HotKeySkew: math.NaN()}, "HotKeySkew"},
 		{RunConfig{App: "Nope", Procs: 2}, "unknown application"},
 		{RunConfig{App: "FFT", Procs: 2, ShardedCheck: true}, "requires Detect"},
 		{RunConfig{App: "FFT", Procs: 2, CrashMode: "single"}, "chaos app"},

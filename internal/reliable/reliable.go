@@ -25,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"lrcrace/internal/dsm/debuglog"
 	"lrcrace/internal/msg"
 	"lrcrace/internal/simnet"
 	"lrcrace/internal/telemetry"
@@ -262,7 +261,7 @@ func (sl *sendLink) onTimeout() {
 		nun := len(sl.unacked)
 		first := sl.unacked[0]
 		sl.mu.Unlock()
-		debuglog.Logf("reliable: link %d->%d dead: %d unacked after %d retries (first %v seq %d)",
+		telemetry.Logf(sl.from, first.vtime, "reliable: link %d->%d dead: %d unacked after %d retries (first %v seq %d)",
 			sl.from, sl.to, nun, t.cfg.MaxRetries, first.typ, first.seq)
 		t.cfg.Telemetry.Emit(sl.from, telemetry.KLinkDead, first.vtime,
 			int64(sl.to), int64(nun), int64(t.cfg.MaxRetries))
@@ -417,7 +416,7 @@ func (rl *recvLink) deliverLocked(d simnet.Delivery, payload []byte) {
 	if err != nil {
 		// Cannot happen over simnet/tcpnet (payloads round-trip before
 		// send); count and drop rather than wedge the protocol.
-		debuglog.Logf("reliable: link %d->%d: corrupt payload: %v", rl.from, rl.at, err)
+		telemetry.Logf(rl.at, d.VTime, "reliable: link %d->%d: corrupt payload: %v", rl.from, rl.at, err)
 		rl.t.bumpStats(func(st *simnet.Stats) { st.Errors++ })
 		return
 	}

@@ -11,7 +11,7 @@ import (
 // TestGoFrontSession is the service half of the gofront acceptance
 // criterion: a go-frontend session is admitted, runs to StatusOK with
 // gofront metrics in its result, and streams its race reports into the
-// durable store as KindRace records — one per report, attributed to the
+// report store as KindRace records — one per report, attributed to the
 // session.
 func TestGoFrontSession(t *testing.T) {
 	req := RunRequest{App: "KV", Frontend: "go", Procs: 3, Racy: true, HotSkew: 0.7, Seed: 3}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -40,13 +39,6 @@ func (svc *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /reports/stream", svc.handleStream)
 	mux.HandleFunc("GET /metrics", svc.handleMetrics)
 	mux.HandleFunc("GET /flight/{id}", svc.handleFlight)
-	// The dispatcher health-probes nodes through /healthz; commands shadow
-	// this with cli.Mux's identical liveness endpoint, but the service
-	// handler answers on its own so a bare Handler() is a complete node.
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintln(w, `{"status":"ok"}`)
-	})
 	mux.HandleFunc("/{$}", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprint(w, "lrcrace detection service: POST /sessions, GET /sessions[/{id}], /reports[/stream], /metrics, /flight/{id}\n")
 	})
@@ -54,7 +46,7 @@ func (svc *Service) Handler() http.Handler {
 }
 
 // apiError is the JSON error body; Code is machine-readable so clients
-// (the remote sweep dispatcher) can distinguish rejection classes.
+// can distinguish rejection classes.
 type apiError struct {
 	Code  string `json:"code"`
 	Error string `json:"error"`
@@ -64,7 +56,6 @@ type apiError struct {
 const (
 	codeInvalidRequest = "invalid_request"
 	codeOverloaded     = "overloaded"
-	codeQuota          = "tenant_quota"
 	codeShuttingDown   = "shutting_down"
 	codeNotFound       = "not_found"
 )
@@ -78,19 +69,14 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 }
 
 // writeAdmissionError maps Submit's typed errors onto HTTP statuses: a
-// *RequestError can never succeed (400), a *QuotaError affects only its
-// tenant (429 + Retry-After), overload and shutdown are retryable by
-// anyone (503 + Retry-After).
+// *RequestError can never succeed (400), overload and shutdown are
+// retryable (503, overload with Retry-After).
 func writeAdmissionError(w http.ResponseWriter, err error) {
 	var reqErr *RequestError
 	var ovlErr *OverloadError
-	var quoErr *QuotaError
 	switch {
 	case errors.As(err, &reqErr):
 		writeJSON(w, http.StatusBadRequest, apiError{Code: codeInvalidRequest, Error: err.Error()})
-	case errors.As(err, &quoErr):
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, apiError{Code: codeQuota, Error: err.Error()})
 	case errors.As(err, &ovlErr):
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, apiError{Code: codeOverloaded, Error: err.Error()})
@@ -101,9 +87,17 @@ func writeAdmissionError(w http.ResponseWriter, err error) {
 	}
 }
 
+// maxRequestBytes caps a POST /sessions body; a RunRequest is a few
+// hundred bytes.
+const maxRequestBytes = 1 << 20
+
 func (svc *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// Unknown fields are rejected, not ignored: a request carrying a knob
+	// this service does not have must not look as if it took effect.
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Code: codeInvalidRequest, Error: "parsing request body: " + err.Error()})
 		return
 	}
@@ -272,56 +266,10 @@ func (svc *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"svc_store_appended_total", "Records ever appended to the report store.", int(svc.store.Appended())},
 		{"svc_store_dropped_total", "Records discarded by report-store retention.", int(svc.store.Dropped())},
 		{"svc_subscribers", "Live report-store subscribers.", svc.store.Subscribers()},
-		{"svc_store_durable", "1 when the report store persists to a segment log.", boolGauge(svc.store.Durable())},
-		{"svc_store_replayed_total", "Records restored from the durable log at startup.", svc.store.Replayed()},
-		{"svc_store_truncations_total", "Corrupt log tails verified and cut off on replay.", svc.store.Truncations()},
-		{"svc_store_persist_failures_total", "Appends that failed to reach the durable log.", svc.store.PersistFailures()},
 	} {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", g.name, g.help, g.name, g.name, g.v)
 	}
-	if ls := svc.store.LogStats(); svc.store.Durable() {
-		for _, g := range []struct {
-			name, help string
-			v          int64
-		}{
-			{"svc_store_log_segments", "Segment files in the durable report log.", int64(ls.Segments)},
-			{"svc_store_log_bytes", "Bytes across the durable report log's segments.", ls.DiskBytes},
-			{"svc_store_log_fsyncs_total", "fsync calls the durable report log has issued.", ls.Fsyncs},
-		} {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", g.name, g.help, g.name, g.name, g.v)
-		}
-	}
-	writeTenantProm(w, svc.TenantStats())
 	sweep.WriteSnapshotsProm(w, "session", svc.snapshots())
-}
-
-func boolGauge(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// writeTenantProm emits the per-tenant admission ledger as tenant-labeled
-// series, one block per metric so HELP/TYPE headers appear once.
-func writeTenantProm(w io.Writer, stats []TenantStat) {
-	if len(stats) == 0 {
-		return
-	}
-	for _, m := range []struct {
-		name, help string
-		v          func(TenantStat) int64
-	}{
-		{"svc_tenant_queued", "Sessions queued per tenant.", func(t TenantStat) int64 { return int64(t.Queued) }},
-		{"svc_tenant_running", "Sessions running per tenant.", func(t TenantStat) int64 { return int64(t.Running) }},
-		{"svc_tenant_admitted_total", "Sessions ever admitted per tenant.", func(t TenantStat) int64 { return t.Admitted }},
-		{"svc_tenant_rejected_total", "Submissions rejected by per-tenant quota.", func(t TenantStat) int64 { return t.Rejected }},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", m.name, m.help, m.name)
-		for _, t := range stats {
-			fmt.Fprintf(w, "%s{tenant=%q} %d\n", m.name, t.Tenant, m.v(t))
-		}
-	}
 }
 
 func (svc *Service) handleFlight(w http.ResponseWriter, r *http.Request) {

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,7 +15,7 @@ import (
 	"time"
 )
 
-func newTestServer(t *testing.T, cfg Config) (*Service, *httptest.Server, *Client) {
+func newTestServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 	t.Helper()
 	svc := New(cfg)
 	ts := httptest.NewServer(svc.Handler())
@@ -22,26 +23,84 @@ func newTestServer(t *testing.T, cfg Config) (*Service, *httptest.Server, *Clien
 		ts.Close()
 		svc.Close()
 	})
-	return svc, ts, NewClient(ts.URL)
+	return svc, ts
+}
+
+// submit POSTs body to /sessions and returns the admitted session, or the
+// status and error body of a rejection.
+func submit(t *testing.T, base string, body io.Reader) (SessionInfo, int, apiError) {
+	t.Helper()
+	resp, err := http.Post(base+"/sessions", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var info SessionInfo
+	var ae apiError
+	if resp.StatusCode == http.StatusAccepted {
+		err = json.NewDecoder(resp.Body).Decode(&info)
+	} else {
+		err = json.NewDecoder(resp.Body).Decode(&ae)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info, resp.StatusCode, ae
+}
+
+func reqBody(req RunRequest) io.Reader {
+	b, _ := json.Marshal(req)
+	return bytes.NewReader(b)
+}
+
+// mustSubmit submits a request that must be admitted.
+func mustSubmit(t *testing.T, base string, req RunRequest) SessionInfo {
+	t.Helper()
+	info, status, ae := submit(t, base, reqBody(req))
+	if status != http.StatusAccepted {
+		t.Fatalf("submit %+v: status %d: %s", req, status, ae.Error)
+	}
+	return info
+}
+
+// getJSON decodes the 200 response to GET path into out.
+func getJSON(t *testing.T, base, path string, out any) {
+	t.Helper()
+	resp, err := http.Get(base + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// wait long-polls a session until it reaches a terminal state.
+func wait(t *testing.T, base, id string) SessionInfo {
+	t.Helper()
+	for {
+		var info SessionInfo
+		getJSON(t, base, "/sessions/"+id+"?wait=30s", &info)
+		if info.State == StateDone || info.State == StateCanceled {
+			return info
+		}
+	}
 }
 
 // TestHTTPSessionLifecycle drives one session end to end over the wire:
 // submit, long-poll to completion, read the result and its reports.
 func TestHTTPSessionLifecycle(t *testing.T) {
-	_, _, client := newTestServer(t, Config{MaxSessions: 2})
-	ctx := context.Background()
+	_, ts := newTestServer(t, Config{MaxSessions: 2})
 
-	info, err := client.Submit(ctx, RunRequest{App: "ChaosMW", Procs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := mustSubmit(t, ts.URL, RunRequest{App: "ChaosMW", Procs: 4})
 	if info.State != StateQueued && info.State != StateRunning {
 		t.Fatalf("fresh session state %s", info.State)
 	}
-	final, err := client.Wait(ctx, info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	final := wait(t, ts.URL, info.ID)
 	if final.State != StateDone || final.Result == nil || final.Result.Status != "ok" {
 		t.Fatalf("final session: %+v", final)
 	}
@@ -49,10 +108,8 @@ func TestHTTPSessionLifecycle(t *testing.T) {
 		t.Fatalf("ChaosMW session carried %d race reports (result says %d)", len(final.Races), final.Result.Races)
 	}
 
-	batch, err := client.Reports(ctx, info.ID, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var batch ReportBatch
+	getJSON(t, ts.URL, "/reports?since=0&session="+info.ID, &batch)
 	var races int
 	for _, r := range batch.Records {
 		if r.Kind == KindRace {
@@ -66,11 +123,9 @@ func TestHTTPSessionLifecycle(t *testing.T) {
 
 // TestHTTPTypedErrors: admission failures map onto machine-readable
 // statuses — 400 invalid_request, 503 overloaded with Retry-After, 404
-// not_found — and the client decodes them back into the same typed errors
-// Service.Submit returns in-process.
+// not_found — matching the typed errors Service.Submit returns in-process.
 func TestHTTPTypedErrors(t *testing.T) {
-	svc, ts, client := newTestServer(t, Config{MaxSessions: 1, QueueDepth: 1, SessionTimeout: 5 * time.Second})
-	ctx := context.Background()
+	svc, ts := newTestServer(t, Config{MaxSessions: 1, QueueDepth: 1, SessionTimeout: 5 * time.Second})
 
 	resp, err := http.Post(ts.URL+"/sessions", "application/json",
 		strings.NewReader(`{"app":"NoSuchApp"}`))
@@ -86,15 +141,12 @@ func TestHTTPTypedErrors(t *testing.T) {
 		t.Fatalf("invalid request: status %d code %q", resp.StatusCode, ae.Code)
 	}
 	var reqErr *RequestError
-	if _, err := client.Submit(ctx, RunRequest{App: "NoSuchApp"}); !errors.As(err, &reqErr) {
-		t.Fatalf("client decoded %v, want *RequestError", err)
+	if _, err := svc.Submit(RunRequest{App: "NoSuchApp"}); !errors.As(err, &reqErr) {
+		t.Fatalf("Submit returned %v, want *RequestError", err)
 	}
 
 	// Fill the pool and the queue, then overflow it.
-	slow, err := client.Submit(ctx, RunRequest{App: "TSP", Scale: 0.25, Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	slow := mustSubmit(t, ts.URL, RunRequest{App: "TSP", Scale: 0.25, Procs: 2})
 	deadline := time.Now().Add(10 * time.Second)
 	for svc.Session(slow.ID).State() != StateRunning {
 		if time.Now().After(deadline) {
@@ -102,9 +154,7 @@ func TestHTTPTypedErrors(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if _, err := client.Submit(ctx, RunRequest{App: "FFT", Scale: 0.25, Procs: 2}); err != nil {
-		t.Fatalf("queue-filling submission rejected: %v", err)
-	}
+	mustSubmit(t, ts.URL, RunRequest{App: "FFT", Scale: 0.25, Procs: 2})
 	resp2, err := http.Post(ts.URL+"/sessions", "application/json",
 		strings.NewReader(`{"app":"FFT","scale":0.25,"procs":2}`))
 	if err != nil {
@@ -122,8 +172,8 @@ func TestHTTPTypedErrors(t *testing.T) {
 		t.Error("503 carried no Retry-After")
 	}
 	var ovl *OverloadError
-	if _, err := client.Submit(ctx, RunRequest{App: "FFT", Scale: 0.25, Procs: 2}); !errors.As(err, &ovl) {
-		t.Fatalf("client decoded %v, want *OverloadError", err)
+	if _, err := svc.Submit(RunRequest{App: "FFT", Scale: 0.25, Procs: 2}); !errors.As(err, &ovl) {
+		t.Fatalf("Submit returned %v, want *OverloadError", err)
 	}
 
 	if resp, err := http.Get(ts.URL + "/sessions/nope"); err != nil {
@@ -139,7 +189,7 @@ func TestHTTPTypedErrors(t *testing.T) {
 // TestHTTPReportsLongPoll: a /reports?wait= request parked on an empty
 // window returns as soon as a record lands.
 func TestHTTPReportsLongPoll(t *testing.T) {
-	svc, _, client := newTestServer(t, Config{MaxSessions: 1})
+	svc, ts := newTestServer(t, Config{MaxSessions: 1})
 	ctx := context.Background()
 
 	type res struct {
@@ -150,7 +200,7 @@ func TestHTTPReportsLongPoll(t *testing.T) {
 	go func() {
 		// The store is empty; this parks until the append below.
 		req, _ := http.NewRequestWithContext(ctx, http.MethodGet,
-			client.Base+"/reports?since=0&wait=30s", nil)
+			ts.URL+"/reports?since=0&wait=30s", nil)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			ch <- res{err: err}
@@ -222,14 +272,11 @@ func sseRecords(t *testing.T, ctx context.Context, url string, doneSession strin
 // sequence order — the catch-up replay and the live tail must meet with
 // neither a gap nor a duplicate.
 func TestHTTPStreamMidRunExactlyOnce(t *testing.T) {
-	svc, ts, client := newTestServer(t, Config{MaxSessions: 2})
+	svc, ts := newTestServer(t, Config{MaxSessions: 2})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	info, err := client.Submit(ctx, RunRequest{App: "ChaosTSP", Procs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := mustSubmit(t, ts.URL, RunRequest{App: "ChaosTSP", Procs: 4})
 	// Connect mid-run: wait for the session to start, then give it a beat
 	// to emit some records before the stream attaches.
 	for svc.Session(info.ID).State() == StateQueued {
@@ -273,10 +320,7 @@ func TestHTTPStreamMidRunExactlyOnce(t *testing.T) {
 			races++
 		}
 	}
-	final, err := client.Wait(ctx, info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	final := wait(t, ts.URL, info.ID)
 	if races != final.Result.Races {
 		t.Fatalf("stream carried %d race records, session result says %d", races, final.Result.Races)
 	}
@@ -285,7 +329,7 @@ func TestHTTPStreamMidRunExactlyOnce(t *testing.T) {
 // TestHTTPStreamGapHealing: a stream whose subscriber buffer is too small
 // for the burst still delivers everything by replaying from the store.
 func TestHTTPStreamGapHealing(t *testing.T) {
-	svc, ts, _ := newTestServer(t, Config{MaxSessions: 1, SubscriberBuf: 2})
+	svc, ts := newTestServer(t, Config{MaxSessions: 1, SubscriberBuf: 2})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
@@ -342,15 +386,9 @@ func TestHTTPStreamGapHealing(t *testing.T) {
 // TestHTTPMetrics: the service /metrics surface carries the service
 // gauges and session-labeled telemetry series.
 func TestHTTPMetrics(t *testing.T) {
-	_, ts, client := newTestServer(t, Config{MaxSessions: 1})
-	ctx := context.Background()
-	info, err := client.Submit(ctx, RunRequest{App: "FFT", Scale: 0.25, Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Wait(ctx, info.ID); err != nil {
-		t.Fatal(err)
-	}
+	_, ts := newTestServer(t, Config{MaxSessions: 1})
+	info := mustSubmit(t, ts.URL, RunRequest{App: "FFT", Scale: 0.25, Procs: 2})
+	wait(t, ts.URL, info.ID)
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -367,5 +405,31 @@ func TestHTTPMetrics(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestHTTPSubmitBodyChecks: POST /sessions refuses a body it cannot trust
+// with the same invalid_request 400 as any other bad request, and admits
+// nothing. An unknown field (such as a tenant this service does not
+// account) must not yield a session that looks as if it took effect.
+func TestHTTPSubmitBodyChecks(t *testing.T) {
+	svc, ts := newTestServer(t, Config{MaxSessions: 1})
+	for _, tc := range []struct {
+		name string
+		body string
+	}{
+		{"unknown field", `{"app":"FFT","scale":0.25,"procs":2,"tenant":"team-a"}`},
+		// Valid JSON that the decoder would accept, past the 1 MiB cap.
+		{"oversized body", `{"app":"FFT","scale":0.25,"procs":2` + strings.Repeat(" ", maxRequestBytes) + `}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, status, ae := submit(t, ts.URL, strings.NewReader(tc.body))
+			if status != http.StatusBadRequest || ae.Code != codeInvalidRequest {
+				t.Fatalf("status %d code %q (%s), want 400 %s", status, ae.Code, ae.Error, codeInvalidRequest)
+			}
+		})
+	}
+	if n := len(svc.Sessions()); n != 0 {
+		t.Fatalf("%d sessions admitted from rejected bodies", n)
 	}
 }

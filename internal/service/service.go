@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 
 	"lrcrace/internal/apps"
-	"lrcrace/internal/castore"
 	"lrcrace/internal/gofront"
 	"lrcrace/internal/harness"
 	"lrcrace/internal/race"
@@ -23,21 +21,16 @@ import (
 // zero values of the optional fields take the sweep's defaults (scale 1,
 // 4 procs, single-writer protocol, detection on, checkpointing on).
 type RunRequest struct {
-	// Tenant names the client the session is accounted to; empty maps to
-	// DefaultTenant. Per-tenant admission quotas (Config.TenantMaxActive,
-	// TenantMaxQueued) are enforced against this identity, so one noisy
-	// tenant saturates its own quota instead of the whole service.
-	Tenant      string           `json:"tenant,omitempty"`
-	App         string           `json:"app"`
-	Scale       float64          `json:"scale,omitempty"`
-	Procs       int              `json:"procs,omitempty"`
-	Protocol    string           `json:"protocol,omitempty"`
-	Detect      *bool            `json:"detect,omitempty"`
-	Sharded     bool             `json:"sharded,omitempty"`
-	Checkpoint  *bool            `json:"checkpoint,omitempty"`
-	CrashMode   string           `json:"crash_mode,omitempty"`
-	CorruptMode string           `json:"corrupt_mode,omitempty"`
-	Seed        int64            `json:"seed,omitempty"`
+	App         string  `json:"app"`
+	Scale       float64 `json:"scale,omitempty"`
+	Procs       int     `json:"procs,omitempty"`
+	Protocol    string  `json:"protocol,omitempty"`
+	Detect      *bool   `json:"detect,omitempty"`
+	Sharded     bool    `json:"sharded,omitempty"`
+	Checkpoint  *bool   `json:"checkpoint,omitempty"`
+	CrashMode   string  `json:"crash_mode,omitempty"`
+	CorruptMode string  `json:"corrupt_mode,omitempty"`
+	Seed        int64   `json:"seed,omitempty"`
 	// Frontend selects the execution engine: "" or "dsm" for the simulated
 	// DSM, "go" for the gofront happens-before frontend, whose apps are
 	// the gofront workloads and whose knobs are HotSkew and Racy.
@@ -48,31 +41,6 @@ type RunRequest struct {
 	// RealMsgDelayUS overrides the per-app real-latency coupling
 	// (microseconds); 0 keeps the app default.
 	RealMsgDelayUS int64 `json:"real_msg_delay_us,omitempty"`
-}
-
-// RequestFor builds the run request that reproduces one sweep cell, with
-// the plan-level fault template and message-delay override. It is the
-// remote-dispatch bridge: submitting the result as a session yields a
-// CellResult interchangeable with running the cell locally.
-func RequestFor(c sweep.Cell, faults *sweep.FaultAxis, realMsgDelayUS int64) RunRequest {
-	det, ck := c.Detect, c.Checkpoint
-	return RunRequest{
-		App:            c.App,
-		Scale:          c.Scale,
-		Procs:          c.Procs,
-		Protocol:       c.Protocol,
-		Detect:         &det,
-		Sharded:        c.Sharded,
-		Checkpoint:     &ck,
-		CrashMode:      c.CrashMode,
-		CorruptMode:    c.CorruptMode,
-		Seed:           c.Seed,
-		Frontend:       c.Frontend,
-		HotSkew:        c.HotSkew,
-		Racy:           c.Racy,
-		Faults:         faults,
-		RealMsgDelayUS: realMsgDelayUS,
-	}
 }
 
 // plan lifts the request into a one-cell sweep plan, which is where the
@@ -216,49 +184,10 @@ func (e *RequestError) Error() string { return "service: invalid request: " + e.
 
 // OverloadError is the typed admission rejection under load: the session
 // queue is full. Clients should back off and retry (HTTP 503).
-type OverloadError struct {
-	Queued, Limit int
-	// RetryAfter is the server's suggested backoff (decoded from the
-	// Retry-After header on the client side); 0 when the server gave none.
-	RetryAfter time.Duration
-	// Detail carries the raw server message when the error was decoded
-	// from a response the client could not fully parse.
-	Detail string
-}
+type OverloadError struct{ Queued, Limit int }
 
 func (e *OverloadError) Error() string {
-	if e.Detail != "" {
-		return "service: overloaded: " + e.Detail
-	}
 	return fmt.Sprintf("service: overloaded: %d sessions queued (limit %d)", e.Queued, e.Limit)
-}
-
-// DefaultTenant is the identity of requests that carry no tenant.
-const DefaultTenant = "default"
-
-// QuotaError is the typed per-tenant admission rejection: the tenant is
-// at its concurrent-session or queue-depth quota. Only that tenant is
-// affected — other tenants keep being admitted — so clients should back
-// off and retry (HTTP 429). Scope is "sessions" (TenantMaxActive) or
-// "queue" (TenantMaxQueued).
-type QuotaError struct {
-	Tenant string
-	Active int // the tenant's queued+running sessions at rejection time
-	Limit  int
-	Scope  string
-	// RetryAfter mirrors OverloadError.RetryAfter on the client side.
-	RetryAfter time.Duration
-	// Detail carries the raw server message on the client side, where the
-	// structured fields are not recoverable from the response body.
-	Detail string
-}
-
-func (e *QuotaError) Error() string {
-	if e.Detail != "" {
-		return "service: tenant quota: " + e.Detail
-	}
-	return fmt.Sprintf("service: tenant %q over its %s quota: %d active (limit %d)",
-		e.Tenant, e.Scope, e.Active, e.Limit)
 }
 
 // ErrClosed rejects submissions to a service that is shutting down.
@@ -281,11 +210,10 @@ const (
 
 // Session is one admitted run request and, eventually, its outcome.
 type Session struct {
-	id     string
-	tenant string
-	req    RunRequest
-	cfg    harness.RunConfig
-	ck     sweep.Cell
+	id  string
+	req RunRequest
+	cfg harness.RunConfig
+	ck  sweep.Cell
 
 	done chan struct{} // closed on done/canceled
 
@@ -298,9 +226,6 @@ type Session struct {
 
 // ID returns the session's identifier (unique within the service).
 func (s *Session) ID() string { return s.id }
-
-// Tenant returns the tenant the session is accounted to.
-func (s *Session) Tenant() string { return s.tenant }
 
 // State returns the session's current lifecycle state.
 func (s *Session) State() SessionState {
@@ -331,13 +256,12 @@ func (s *Session) Races() []race.Report {
 func (s *Session) Info() SessionInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return SessionInfo{ID: s.id, Tenant: s.tenant, State: s.state, Request: s.req, Result: s.result, Races: s.races}
+	return SessionInfo{ID: s.id, State: s.state, Request: s.req, Result: s.result, Races: s.races}
 }
 
 // SessionInfo is the JSON view of one session.
 type SessionInfo struct {
 	ID      string            `json:"id"`
-	Tenant  string            `json:"tenant,omitempty"`
 	State   SessionState      `json:"state"`
 	Request RunRequest        `json:"request"`
 	Result  *sweep.CellResult `json:"result,omitempty"`
@@ -366,21 +290,6 @@ type Config struct {
 	// KeepDone bounds how many finished sessions stay queryable; 0 → 1024.
 	// Older finished sessions are evicted (their store records remain).
 	KeepDone int
-	// DataDir, when non-empty, makes the report store durable: records
-	// are appended to a content-addressed segment log there and replayed
-	// on the next Open, restoring sequence numbers and replay cursors
-	// exactly. Requires Open (New panics on open failure).
-	DataDir string
-	// StoreSyncEvery is the durable store's fsync cadence in records;
-	// 0 → 1 (every record durable before Append returns), negative →
-	// only sync on Close. Ignored without DataDir.
-	StoreSyncEvery int
-	// TenantMaxActive caps one tenant's queued+running sessions; beyond
-	// it, that tenant's submissions get *QuotaError while other tenants
-	// are unaffected. 0 → unlimited (global admission still applies).
-	TenantMaxActive int
-	// TenantMaxQueued caps one tenant's share of the queue; 0 → unlimited.
-	TenantMaxQueued int
 }
 
 func (c Config) withDefaults() Config {
@@ -417,108 +326,49 @@ type Service struct {
 	nextID   uint64
 	sessions map[string]*Session
 	order    []string // session IDs in admission order
-	tenants  map[string]*tenantCounts
 }
 
-// tenantCounts is one tenant's admission-control ledger.
-type tenantCounts struct {
-	queued, running    int
-	admitted, rejected int64
-}
-
-// New builds an in-memory service and starts its worker pool. It panics
-// when cfg.DataDir is set and the report log cannot be opened — durable
-// deployments should use Open, which returns the error (and the replay
-// summary) instead.
+// New builds the service and starts its worker pool.
 func New(cfg Config) *Service {
-	svc, _, err := Open(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return svc
-}
-
-// Open builds the service, opening (and replaying) the durable report
-// store when cfg.DataDir is set, and starts its worker pool. The
-// ReplayInfo reports what was restored: record count, last sequence
-// number, and any verified-and-truncated corrupt tail.
-func Open(cfg Config) (*Service, ReplayInfo, error) {
+	cfg = cfg.withDefaults()
 	svc := &Service{
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg,
+		store:    NewStore(cfg.StoreCap),
+		queue:    make(chan *Session, cfg.QueueDepth),
 		quit:     make(chan struct{}),
 		sessions: make(map[string]*Session),
-		tenants:  make(map[string]*tenantCounts),
 	}
-	var info ReplayInfo
-	if svc.cfg.DataDir != "" {
-		store, ri, err := OpenStore(svc.cfg.DataDir, svc.cfg.StoreCap,
-			castore.SegLogOptions{SyncEvery: svc.cfg.StoreSyncEvery})
-		if err != nil {
-			return nil, ReplayInfo{}, err
-		}
-		svc.store, info = store, ri
-	} else {
-		svc.store = NewStore(svc.cfg.StoreCap)
-	}
-	svc.queue = make(chan *Session, svc.cfg.QueueDepth)
-	for i := 0; i < svc.cfg.MaxSessions; i++ {
+	for i := 0; i < cfg.MaxSessions; i++ {
 		svc.wg.Add(1)
 		go svc.worker()
 	}
-	return svc, info, nil
+	return svc
 }
 
 // Store returns the service's report store (for subscriptions).
 func (svc *Service) Store() *Store { return svc.store }
 
 // Submit validates and admits one run request. It returns *RequestError
-// for requests that can never run (map to HTTP 400), *QuotaError when
-// the request's tenant is at its per-tenant quota (429), *OverloadError
-// when the global queue is full (503), and ErrClosed during shutdown
-// (503).
+// for requests that can never run (map to HTTP 400), *OverloadError when
+// the queue is full (503), and ErrClosed during shutdown (503).
 func (svc *Service) Submit(req RunRequest) (*Session, error) {
 	cell, cfg, err := req.Cell()
 	if err != nil {
 		return nil, err
-	}
-	tenant := req.Tenant
-	if tenant == "" {
-		tenant = DefaultTenant
 	}
 	svc.mu.Lock()
 	if svc.closed {
 		svc.mu.Unlock()
 		return nil, ErrClosed
 	}
-	tc := svc.tenants[tenant]
-	if tc == nil {
-		tc = &tenantCounts{}
-		svc.tenants[tenant] = tc
-	}
-	// Per-tenant quotas come before the global queue check: a tenant at
-	// its quota is told so with a 429 even when the queue has room, and a
-	// tenant within quota competes for the queue like anyone else.
-	if lim := svc.cfg.TenantMaxActive; lim > 0 && tc.queued+tc.running >= lim {
-		tc.rejected++
-		active := tc.queued + tc.running
-		svc.mu.Unlock()
-		return nil, &QuotaError{Tenant: tenant, Active: active, Limit: lim, Scope: "sessions"}
-	}
-	if lim := svc.cfg.TenantMaxQueued; lim > 0 && tc.queued >= lim {
-		tc.rejected++
-		active := tc.queued + tc.running
-		svc.mu.Unlock()
-		return nil, &QuotaError{Tenant: tenant, Active: active, Limit: lim, Scope: "queue"}
-	}
 	svc.nextID++
 	sess := &Session{
-		id:     fmt.Sprintf("s%d-%s", svc.nextID, cell.ID),
-		tenant: tenant,
-		req:    req,
-		cfg:    cfg,
-		ck:     cell,
-		state:  StateQueued,
-		done:   make(chan struct{}),
+		id:    fmt.Sprintf("s%d-%s", svc.nextID, cell.ID),
+		req:   req,
+		cfg:   cfg,
+		ck:    cell,
+		state: StateQueued,
+		done:  make(chan struct{}),
 	}
 	select {
 	case svc.queue <- sess:
@@ -527,47 +377,12 @@ func (svc *Service) Submit(req RunRequest) (*Session, error) {
 		svc.mu.Unlock()
 		return nil, &OverloadError{Queued: queued, Limit: svc.cfg.QueueDepth}
 	}
-	tc.queued++
-	tc.admitted++
 	svc.sessions[sess.id] = sess
 	svc.order = append(svc.order, sess.id)
 	svc.evictDoneLocked()
 	svc.mu.Unlock()
-	svc.store.Append(Record{Session: sess.id, Tenant: tenant, Kind: KindSession, Detail: "admitted: " + cell.ID})
+	svc.store.Append(Record{Session: sess.id, Kind: KindSession, Detail: "admitted: " + cell.ID})
 	return sess, nil
-}
-
-// tenantTransition moves one session between the tenant ledger's states:
-// dq un-queues it, dr un-runs it, run marks it running.
-func (svc *Service) tenantTransition(tenant string, dq, dr, run int) {
-	svc.mu.Lock()
-	if tc := svc.tenants[tenant]; tc != nil {
-		tc.queued -= dq
-		tc.running += run - dr
-	}
-	svc.mu.Unlock()
-}
-
-// TenantStat is one tenant's admission-control ledger for the metrics
-// surface.
-type TenantStat struct {
-	Tenant          string
-	Queued, Running int
-	Admitted        int64
-	Rejected        int64
-}
-
-// TenantStats returns every tenant's ledger, sorted by tenant name.
-func (svc *Service) TenantStats() []TenantStat {
-	svc.mu.Lock()
-	defer svc.mu.Unlock()
-	out := make([]TenantStat, 0, len(svc.tenants))
-	for name, tc := range svc.tenants {
-		out = append(out, TenantStat{Tenant: name, Queued: tc.queued, Running: tc.running,
-			Admitted: tc.admitted, Rejected: tc.rejected})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
-	return out
 }
 
 // evictDoneLocked drops the oldest finished sessions beyond KeepDone.
@@ -620,16 +435,13 @@ func (svc *Service) Counts() map[SessionState]int {
 	return out
 }
 
-// Close stops admission, cancels queued sessions, waits for the worker
-// pool to finish its in-flight sessions, and syncs-and-closes the
-// durable report log so every record written before Close returns is on
-// disk.
+// Close stops admission, cancels queued sessions, and waits for the
+// worker pool to finish its in-flight sessions.
 func (svc *Service) Close() {
 	svc.mu.Lock()
 	if svc.closed {
 		svc.mu.Unlock()
 		svc.wg.Wait()
-		svc.store.Close()
 		return
 	}
 	svc.closed = true
@@ -643,12 +455,10 @@ func (svc *Service) Close() {
 			sess.state = StateCanceled
 			sess.mu.Unlock()
 			close(sess.done)
-			svc.tenantTransition(sess.tenant, 1, 0, 0)
-			svc.store.Append(Record{Session: sess.id, Tenant: sess.tenant, Kind: KindSession,
+			svc.store.Append(Record{Session: sess.id, Kind: KindSession,
 				Detail: "canceled: service shutting down"})
 		default:
 			svc.wg.Wait()
-			svc.store.Close()
 			return
 		}
 	}
@@ -682,10 +492,10 @@ func (svc *Service) runSession(sess *Session) {
 		Cap:        svc.cfg.TelemetryCap,
 		FlightSink: io.Discard,
 		Observer: func(e telemetry.Event) {
-			svc.observe(sess.id, sess.tenant, e)
+			svc.observe(sess.id, e)
 		},
 		TripObserver: func(reason telemetry.TripReason, detail string) {
-			svc.store.Append(Record{Session: sess.id, Tenant: sess.tenant, Kind: KindTrip,
+			svc.store.Append(Record{Session: sess.id, Kind: KindTrip,
 				Detail: reason.String() + ": " + detail})
 		},
 	})
@@ -701,8 +511,7 @@ func (svc *Service) runSession(sess *Session) {
 	sess.state = StateRunning
 	sess.rec = rec
 	sess.mu.Unlock()
-	svc.tenantTransition(sess.tenant, 1, 0, 1) // queued → running
-	svc.store.Append(Record{Session: sess.id, Tenant: sess.tenant, Kind: KindSession, Detail: "started"})
+	svc.store.Append(Record{Session: sess.id, Kind: KindSession, Detail: "started"})
 
 	out := make(chan sessionOutcome, 1)
 	go func() {
@@ -754,8 +563,7 @@ func (svc *Service) runSession(sess *Session) {
 	sess.result = result
 	sess.races = races
 	sess.mu.Unlock()
-	svc.tenantTransition(sess.tenant, 0, 1, 0) // running → done frees quota
-	svc.store.Append(Record{Session: sess.id, Tenant: sess.tenant, Kind: KindSession,
+	svc.store.Append(Record{Session: sess.id, Kind: KindSession,
 		Detail: fmt.Sprintf("finished: %s (%d races)", result.Status, result.Races)})
 	close(sess.done)
 }
@@ -764,23 +572,23 @@ func (svc *Service) runSession(sess *Session) {
 // report store. Races, crash detections, and rollback milestones are the
 // events a subscriber cares about; everything else stays in the session's
 // recorder (rings, metrics, flight buffer).
-func (svc *Service) observe(session, tenant string, e telemetry.Event) {
+func (svc *Service) observe(session string, e telemetry.Event) {
 	switch e.Kind {
 	case telemetry.KRaceFound:
-		svc.store.Append(Record{Session: session, Tenant: tenant, Kind: KindRace, VT: e.VT,
+		svc.store.Append(Record{Session: session, Kind: KindRace, VT: e.VT,
 			Addr: uint64(e.A), Epoch: e.B, WriteWrite: e.C == 1})
 	case telemetry.KCrashDetected:
 		via := "barrier timeout"
 		if e.B == 1 {
 			via = "link death"
 		}
-		svc.store.Append(Record{Session: session, Tenant: tenant, Kind: KindRecovery, VT: e.VT,
+		svc.store.Append(Record{Session: session, Kind: KindRecovery, VT: e.VT,
 			Detail: fmt.Sprintf("crash detected: suspect p%d via %s", e.A, via)})
 	case telemetry.KRecoveryStart:
-		svc.store.Append(Record{Session: session, Tenant: tenant, Kind: KindRecovery, VT: e.VT,
+		svc.store.Append(Record{Session: session, Kind: KindRecovery, VT: e.VT,
 			Detail: fmt.Sprintf("rollback to epoch %d (victim p%d)", e.A, e.B)})
 	case telemetry.KRecoveryDone:
-		svc.store.Append(Record{Session: session, Tenant: tenant, Kind: KindRecovery, VT: e.VT,
+		svc.store.Append(Record{Session: session, Kind: KindRecovery, VT: e.VT,
 			Detail: fmt.Sprintf("recovered at epoch %d (%d virtual ns re-executed)", e.A, e.B)})
 	}
 }

@@ -56,7 +56,7 @@ func metricsJSON(t *testing.T, r *sweep.CellResult) string {
 // a pool wide enough to run them concurrently, must each produce exactly
 // the race set a standalone run of its configuration produces, and the
 // deterministic configurations must produce byte-identical canonical
-// metrics — i.e. no telemetry or detector state leaks between tenants.
+// metrics — i.e. no telemetry or detector state leaks between sessions.
 func TestConcurrentSessionsIsolated(t *testing.T) {
 	reqs := []RunRequest{
 		{App: "FFT", Scale: 0.25, Procs: 2},
@@ -66,7 +66,7 @@ func TestConcurrentSessionsIsolated(t *testing.T) {
 	}
 	const copies = 8 // 4 configs × 8 = 32 sessions
 
-	// References first, single-tenant. The distinct race set (addresses ×
+	// References first, one at a time. The distinct race set (addresses ×
 	// write-write) is schedule-independent for all four configurations; the
 	// raw dynamic report count is not for the chaos apps (their racing
 	// accesses ride the reliable sublayer's real timers), so equality is
@@ -121,7 +121,7 @@ func TestConcurrentSessionsIsolated(t *testing.T) {
 				res.Races, res.DistinctRaces, len(sess.Races()), len(wantRaces[i]))
 		}
 		// FFT's virtual-time simulation is schedule-independent: every
-		// tenant's canonical snapshot must be byte-identical. A single
+		// session's canonical snapshot must be byte-identical. A single
 		// shared counter bleeding across sessions shows up here.
 		if reqs[i].App == "FFT" {
 			fftMetrics[metricsJSON(t, res)] = true

@@ -1,7 +1,7 @@
-// Package service turns the one-shot detector into a long-running
-// multi-tenant detection service: clients open sessions over HTTP, each
-// session runs one DSM System (with its own handle-scoped telemetry
-// recorder and always-on checkpoints) under admission control, and
+// Package service turns the one-shot detector into a long-running,
+// single-node, in-memory detection service: clients open sessions over
+// HTTP, each session runs one DSM System (with its own handle-scoped
+// telemetry recorder and always-on checkpoints) under admission control, and
 // everything the detector reports — data races, crash recoveries,
 // flight-recorder trips, session lifecycle — lands in an append-only
 // report store that clients tail live with `since=<seq>` long-polls or
@@ -9,20 +9,10 @@
 // immediately when they occur" at barrier time); this package makes the
 // *consumption* online too, in the decoupled-monitoring spirit of Ronsse
 // & De Bosschere: the monitored execution never waits for a subscriber.
-//
-// The service plane is also the dispatch target for distributed sweeps:
-// `sweeprun -remote <addr>` submits each grid cell as a session and
-// merges the returned results through the sweep's own manifest path (see
-// Client and docs/SERVICE.md).
+// See docs/SERVICE.md.
 package service
 
-import (
-	"encoding/json"
-	"fmt"
-	"sync"
-
-	"lrcrace/internal/castore"
-)
+import "sync"
 
 // RecordKind classifies one report-store record.
 type RecordKind string
@@ -54,9 +44,6 @@ type Record struct {
 	Seq     uint64     `json:"seq"`
 	Session string     `json:"session"`
 	Kind    RecordKind `json:"kind"`
-	// Tenant is the tenant the record's session belongs to; empty for
-	// store-level records (truncation markers).
-	Tenant string `json:"tenant,omitempty"`
 	// VT is the virtual (costmodel) timestamp of the underlying protocol
 	// event, when there is one.
 	VT int64 `json:"vt,omitempty"`
@@ -83,15 +70,6 @@ type Store struct {
 	next    uint64   // next seq to assign
 	dropped uint64   // records lost to retention
 	subs    map[*Subscriber]struct{}
-
-	// Durability (nil log → memory-only store; see OpenStore). The log
-	// holds the full append history, so retention bounds memory, not
-	// replayable history.
-	log          *castore.SegLog
-	replayed     int
-	truncations  int
-	persistFails int
-	persistErr   error // first persistence failure, kept for diagnostics
 }
 
 // DefaultStoreCap is the default retention bound, in records.
@@ -106,9 +84,8 @@ func NewStore(cap int) *Store {
 	return &Store{cap: cap, first: 1, next: 1, subs: make(map[*Subscriber]struct{})}
 }
 
-// Append assigns the next sequence number to r, retains it, persists it
-// when the store is durable, and notifies matching subscribers. It
-// returns the stored record.
+// Append assigns the next sequence number to r, retains it, and notifies
+// matching subscribers. It returns the stored record.
 func (s *Store) Append(r Record) Record {
 	s.mu.Lock()
 	r.Seq = s.next
@@ -120,21 +97,6 @@ func (s *Store) Append(r Record) Record {
 		s.first += uint64(n)
 		s.dropped += uint64(n)
 	}
-	if s.log != nil {
-		b, err := json.Marshal(r)
-		if err == nil {
-			_, err = s.log.Append(b)
-		}
-		if err != nil {
-			// The in-memory store keeps serving; the failure is surfaced
-			// through PersistErr and the svc_store_persist_failures metric
-			// rather than taking the whole service plane down.
-			s.persistFails++
-			if s.persistErr == nil {
-				s.persistErr = err
-			}
-		}
-	}
 	for sub := range s.subs {
 		if sub.session == "" || sub.session == r.Session {
 			sub.push(r)
@@ -142,141 +104,6 @@ func (s *Store) Append(r Record) Record {
 	}
 	s.mu.Unlock()
 	return r
-}
-
-// ReplayInfo summarizes what OpenStore restored from its data directory.
-type ReplayInfo struct {
-	// Records replayed from the log into the store (memory retains at
-	// most the store's cap; earlier records count as dropped, exactly as
-	// they did before the restart).
-	Records int
-	// LastSeq is the highest restored sequence number; appends continue
-	// at LastSeq+1 (or after the truncation record, when there is one).
-	LastSeq uint64
-	// Truncation describes a corrupt or torn log tail that was verified,
-	// cut off, and surfaced as an explicit KindTruncated record; ""
-	// when the log replayed clean.
-	Truncation string
-}
-
-// OpenStore opens a durable report store over the content-addressed
-// segment log in dir: every record ever appended is framed, hashed, and
-// fsync'd per opts, and on reopen the log is replayed — verifying each
-// chunk against its address — so sequence numbers, session views, and
-// subscriber replay cursors resume exactly where they stopped. A tail
-// that fails verification (tampered chunk, torn write, undecodable
-// record, out-of-order sequence) is truncated at the last good record
-// and surfaced as an explicit KindTruncated record carrying the next
-// sequence number, never restored blindly and never a panic.
-func OpenStore(dir string, cap int, opts castore.SegLogOptions) (*Store, ReplayInfo, error) {
-	s := NewStore(cap)
-	expect := uint64(1)
-	log, trunc, err := castore.OpenSegLog(dir, opts, func(payload []byte) error {
-		var r Record
-		if err := json.Unmarshal(payload, &r); err != nil {
-			return fmt.Errorf("undecodable record: %w", err)
-		}
-		if r.Seq != expect {
-			return fmt.Errorf("sequence break: record %d where %d was expected", r.Seq, expect)
-		}
-		expect++
-		s.restore(r)
-		return nil
-	})
-	if err != nil {
-		return nil, ReplayInfo{}, fmt.Errorf("service: opening report store: %w", err)
-	}
-	s.log = log
-	info := ReplayInfo{Records: int(expect - 1), LastSeq: expect - 1}
-	if trunc != nil {
-		s.truncations++
-		info.Truncation = trunc.String()
-		s.Append(Record{Kind: KindTruncated,
-			Detail: "report log truncated on replay: " + trunc.String()})
-	}
-	return s, info, nil
-}
-
-// restore re-adopts one replayed record without assigning a new sequence
-// number or notifying subscribers (none can exist during replay).
-func (s *Store) restore(r Record) {
-	s.recs = append(s.recs, r)
-	s.next = r.Seq + 1
-	if len(s.recs) > s.cap {
-		s.recs = s.recs[len(s.recs)-s.cap:]
-	}
-	s.first = s.recs[0].Seq
-	s.dropped = s.first - 1
-	s.replayed++
-}
-
-// Sync flushes any unsynced appends of a durable store; a no-op for
-// memory-only stores.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.log == nil {
-		return nil
-	}
-	return s.log.Sync()
-}
-
-// Close syncs and closes a durable store's log (appends after Close stay
-// in memory and count as persistence failures); a no-op for memory-only
-// stores.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.log == nil {
-		return nil
-	}
-	return s.log.Close()
-}
-
-// Durable reports whether the store persists its records.
-func (s *Store) Durable() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.log != nil
-}
-
-// Replayed returns how many records the store restored at open.
-func (s *Store) Replayed() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.replayed
-}
-
-// Truncations returns how many corrupt log tails this store has cut off.
-func (s *Store) Truncations() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.truncations
-}
-
-// PersistFailures returns how many appends failed to reach the log.
-func (s *Store) PersistFailures() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.persistFails
-}
-
-// PersistErr returns the first persistence failure, or nil.
-func (s *Store) PersistErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.persistErr
-}
-
-// LogStats returns the underlying segment log's accounting (zero for
-// memory-only stores).
-func (s *Store) LogStats() castore.SegLogStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.log == nil {
-		return castore.SegLogStats{}
-	}
-	return s.log.Stats()
 }
 
 // Since returns retained records with Seq > since, filtered to one

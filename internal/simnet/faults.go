@@ -59,7 +59,7 @@ func (p *FaultPlan) Validate() error {
 		name string
 		v    float64
 	}{{"Drop", p.Drop}, {"Dup", p.Dup}, {"Reorder", p.Reorder}} {
-		if pr.v < 0 || pr.v > 1 {
+		if !(pr.v >= 0 && pr.v <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("simnet: FaultPlan.%s = %v out of [0,1]", pr.name, pr.v)
 		}
 	}

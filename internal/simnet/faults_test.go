@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -157,7 +158,7 @@ func TestSelfSendsNeverFaulted(t *testing.T) {
 func TestFaultPlanValidation(t *testing.T) {
 	nw := New(2)
 	for _, p := range []FaultPlan{
-		{Drop: -0.1}, {Drop: 1.5}, {Dup: 2}, {Reorder: -1},
+		{Drop: -0.1}, {Drop: 1.5}, {Dup: 2}, {Reorder: -1}, {Drop: math.NaN()},
 		{MaxReorder: -2}, {JitterNS: -5},
 	} {
 		if err := nw.SetFaults(&p); err == nil {

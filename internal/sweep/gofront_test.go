@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -57,8 +58,10 @@ func TestExpandGoFrontAxes(t *testing.T) {
 	if _, err := (&Plan{Apps: []string{"KV"}, Frontends: []string{"zig"}}).Expand(); err == nil {
 		t.Error("bogus frontend expanded without error")
 	}
-	if _, err := (&Plan{Apps: []string{"KV"}, Frontends: []string{"go"}, HotSkews: []float64{1.5}}).Expand(); err == nil {
-		t.Error("out-of-range hot skew expanded without error")
+	for _, hk := range []float64{1.5, math.NaN()} {
+		if _, err := (&Plan{Apps: []string{"KV"}, Frontends: []string{"go"}, HotSkews: []float64{hk}}).Expand(); err == nil {
+			t.Errorf("hot skew %g expanded without error", hk)
+		}
 	}
 }
 

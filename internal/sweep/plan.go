@@ -16,6 +16,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"lrcrace/internal/dsm"
@@ -265,6 +266,20 @@ func (p *Plan) Expand() ([]Cell, error) {
 			return nil, fmt.Errorf("sweep: invalid process count %d", pc)
 		}
 	}
+	// The float axes are checked before anything fingerprints the plan:
+	// NaN and ±Inf have no JSON form, and NaN slips past a plain x < 0.
+	for _, sc := range d.Scales {
+		if !(sc >= 0) || math.IsInf(sc, 1) {
+			return nil, fmt.Errorf("sweep: invalid scale %g (want a finite value >= 0)", sc)
+		}
+	}
+	if f := d.Faults; f != nil {
+		for _, v := range []float64{f.Drop, f.Dup, f.Reorder} {
+			if !(v >= 0 && v <= 1) {
+				return nil, fmt.Errorf("sweep: fault probability %g out of [0,1]", v)
+			}
+		}
+	}
 	for _, bt := range d.BarrierTrees {
 		if bt == 1 || bt < 0 {
 			return nil, fmt.Errorf("sweep: invalid barrier-tree arity %d (0 = flat, else >= 2)", bt)
@@ -296,7 +311,7 @@ func (p *Plan) Expand() ([]Cell, error) {
 		hotSkews = []float64{0}
 	}
 	for _, hk := range hotSkews {
-		if hk < 0 || hk >= 1 {
+		if !(hk >= 0 && hk < 1) {
 			return nil, fmt.Errorf("sweep: hot-key skew %g out of [0,1)", hk)
 		}
 	}

@@ -134,51 +134,6 @@ func New(plan *Plan, opts Options) (*Sweep, error) {
 // Cells returns the expanded grid in plan order.
 func (s *Sweep) Cells() []Cell { return s.cells }
 
-// Pending returns the cells that still lack a terminal result, in plan
-// order — what Run would execute, or what a remote dispatcher should
-// submit. Resume-aware: cells loaded from the checkpoint directory are
-// not pending.
-func (s *Sweep) Pending() []Cell {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Cell
-	for _, c := range s.cells {
-		if r, ok := s.results[c.ID]; !ok || !r.Status.Terminal() {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// Record adopts an externally produced terminal result for one of the
-// sweep's cells — the merge half of remote dispatch (`sweeprun -remote`):
-// a result fetched from a detection-service session lands in the same
-// in-memory results map and, when the sweep has a checkpoint directory,
-// the same atomically written cell file as a locally run cell, so
-// summaries, metrics documents, and resume behave identically.
-func (s *Sweep) Record(r *CellResult) error {
-	if r == nil || !r.Status.Terminal() {
-		return fmt.Errorf("sweep: Record needs a terminal result")
-	}
-	known := false
-	for _, c := range s.cells {
-		if c.ID == r.ID {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return fmt.Errorf("sweep: result for unknown cell %q", r.ID)
-	}
-	s.mu.Lock()
-	s.results[r.ID] = r
-	s.mu.Unlock()
-	if s.opts.Dir != "" {
-		return writeCellResult(s.opts.Dir, r)
-	}
-	return nil
-}
-
 // Run executes every cell that does not already have a terminal result,
 // at most Options.Workers at a time. A failed, wedged, or panicking cell
 // is recorded and the sweep continues; Run's error is reserved for the

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,6 +57,14 @@ func TestExpand(t *testing.T) {
 	}
 	if _, err := (&Plan{Apps: []string{"X", "X"}}).Expand(); err == nil {
 		t.Error("repeated axis value expanded without error")
+	}
+	for _, sc := range []float64{math.NaN(), math.Inf(1), -1} {
+		if _, err := (&Plan{Apps: []string{"FFT"}, Scales: []float64{sc}}).Expand(); err == nil {
+			t.Errorf("scale %g expanded without error", sc)
+		}
+	}
+	if _, err := (&Plan{Apps: []string{"TSP"}, Faults: &FaultAxis{Drop: math.NaN()}}).Expand(); err == nil {
+		t.Error("NaN fault probability expanded without error")
 	}
 }
 

@@ -19,9 +19,9 @@ import (
 	"net"
 	"sync"
 
-	"lrcrace/internal/dsm/debuglog"
 	"lrcrace/internal/msg"
 	"lrcrace/internal/simnet"
+	"lrcrace/internal/telemetry"
 )
 
 // frameHeader is [from u16][frags u16][vtime i64][payloadLen u32].
@@ -221,7 +221,7 @@ func (nw *Network) streamError(owner int, c net.Conn, what string) {
 	if closed {
 		return
 	}
-	debuglog.Logf("tcpnet: endpoint %d: dropping conn %v: %s", owner, c.RemoteAddr(), what)
+	telemetry.Logf(owner, 0, "tcpnet: endpoint %d: dropping conn %v: %s", owner, c.RemoteAddr(), what)
 }
 
 // Send implements dsm.Transport.

@@ -7,10 +7,10 @@ import (
 	"time"
 
 	"lrcrace/internal/dsm"
-	"lrcrace/internal/dsm/debuglog"
 	"lrcrace/internal/msg"
 	"lrcrace/internal/race"
 	"lrcrace/internal/simnet"
+	"lrcrace/internal/telemetry"
 )
 
 func TestSendRecvAcrossSockets(t *testing.T) {
@@ -166,8 +166,8 @@ func BenchmarkTransportRoundTrip(b *testing.B) {
 // connection: the reader must count it in Stats.Errors and emit a debug
 // event, instead of dying silently.
 func TestCorruptFrameCounted(t *testing.T) {
-	debuglog.Enable()
-	defer debuglog.Disable()
+	rec := telemetry.Start(telemetry.Config{Cap: -1, CaptureLog: true})
+	defer telemetry.Stop()
 
 	nw, err := New(2)
 	if err != nil {
@@ -207,13 +207,18 @@ func TestCorruptFrameCounted(t *testing.T) {
 	if got := nw.Stats().Errors; got != 1 {
 		t.Errorf("Errors = %d, want 1", got)
 	}
+	var logs []string
 	found := false
-	for _, ev := range debuglog.Events() {
-		if strings.Contains(ev, "tcpnet") && strings.Contains(ev, "corrupt") {
+	for _, e := range rec.Events() {
+		if e.Kind != telemetry.KLog {
+			continue
+		}
+		logs = append(logs, e.Msg)
+		if strings.Contains(e.Msg, "tcpnet") && strings.Contains(e.Msg, "corrupt") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no tcpnet corrupt-frame debug event in %v", debuglog.Events())
+		t.Errorf("no tcpnet corrupt-frame debug event in %v", logs)
 	}
 }

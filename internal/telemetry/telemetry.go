@@ -11,8 +11,7 @@
 // reliable retransmission sublayer) one typed event pipeline and one
 // metrics registry, in the low-intrusiveness spirit of Ronsse & De
 // Bosschere's non-intrusive tracing: when recording is off, an event site
-// costs exactly one atomic pointer load (the same discipline the old
-// debuglog kept, which is now a thin shim over this core).
+// costs exactly one atomic pointer load.
 //
 // Events are recorded into per-process ring buffers with both virtual
 // (costmodel) and wall timestamps. Exporters include Chrome trace-event
@@ -20,8 +19,8 @@
 // timeline in Perfetto or chrome://tracing.
 //
 // Recorders come in two flavors. Start installs a process-global recorder —
-// the historical single-run mode, still what the debuglog shim and the
-// simplest tools use. New builds a handle-scoped recorder that is never
+// the historical single-run mode, still what development logging (Logf)
+// and the simplest tools use. New builds a handle-scoped recorder that is never
 // installed globally: thread it to the layers that should record into it
 // (dsm.Config.Recorder, or a Scope built with To) and N recording sessions
 // can coexist in one process without interleaving rings, sequence numbers,
@@ -49,7 +48,7 @@ import (
 type Kind uint8
 
 const (
-	// KLog is a free-form formatted string event — the debuglog shim.
+	// KLog is a free-form formatted string event (Logf).
 	KLog Kind = iota
 	// KPageFault: a protection fault on the local copy. A=page, B=1 write.
 	KPageFault
@@ -278,10 +277,9 @@ type Config struct {
 	// outside [0, Procs) land in a shared system ring.
 	Procs int
 	// Cap is the per-ring capacity in events; 0 → 8192, negative →
-	// unbounded (the debuglog shim uses unbounded so tests see every
-	// event).
+	// unbounded (so a test capturing Logf output sees every event).
 	Cap int
-	// CaptureLog records KLog string events (the debuglog shim). Off by
+	// CaptureLog records KLog string events (Logf). Off by
 	// default: typed events carry the same information without the
 	// formatting cost.
 	CaptureLog bool
@@ -560,8 +558,8 @@ func Active() *Recorder { return active.Load() }
 // Enabled reports whether events are being recorded.
 func Enabled() bool { return active.Load() != nil }
 
-// LogCaptureEnabled reports whether KLog string events are being recorded
-// (the debuglog shim's enable state).
+// LogCaptureEnabled reports whether KLog string events are being recorded,
+// so a call site can skip building an expensive Logf argument.
 func LogCaptureEnabled() bool {
 	r := active.Load()
 	return r != nil && r.cfg.CaptureLog
@@ -577,8 +575,9 @@ func Emit(proc int, k Kind, vt int64, a, b, c int64) {
 	r.emit(proc, k, vt, a, b, c, "")
 }
 
-// Logf records one formatted string event (the debuglog shim); it is a
-// no-op unless a recorder with CaptureLog is installed.
+// Logf records one formatted string event, the development log of the
+// DSM and its transports; it is a no-op unless a recorder with
+// CaptureLog is installed.
 func Logf(proc int, vt int64, format string, args ...interface{}) {
 	r := active.Load()
 	if r == nil || !r.cfg.CaptureLog {
