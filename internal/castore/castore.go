@@ -85,11 +85,12 @@ func (s *Store) Put(b []byte) (Addr, bool) {
 	defer s.mu.Unlock()
 	s.stats.Puts++
 	s.stats.LogicalBytes += int64(len(b))
-	// Keep stored bytes non-nil: nil marks a Delete-faulted chunk.
-	data := append(make([]byte, 0, len(b)), b...)
+	// Copy only bytes that will be kept, and keep them non-nil: nil marks
+	// a Delete-faulted chunk.
+	keep := func() []byte { return append(make([]byte, 0, len(b)), b...) }
 	c := s.chunks[a]
 	if c == nil {
-		c = &chunk{data: data}
+		c = &chunk{data: keep()}
 		s.chunks[a] = c
 		s.stats.StoredBytes += int64(len(b))
 		s.stats.LiveBytes += int64(len(b))
@@ -97,7 +98,7 @@ func (s *Store) Put(b []byte) (Addr, bool) {
 		s.stats.Hits++
 		if c.data == nil || !bytes.Equal(c.data, b) {
 			s.stats.LiveBytes += int64(len(b) - len(c.data))
-			c.data = data
+			c.data = keep()
 			s.stats.Heals++
 		}
 	}

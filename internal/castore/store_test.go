@@ -123,6 +123,17 @@ func TestDeleteDetectedAndHealed(t *testing.T) {
 	}
 }
 
+// TestDedupHitAllocatesNothing: a Put of bytes already resident and intact
+// must not copy them — only new or healing deposits keep a copy.
+func TestDedupHitAllocatesNothing(t *testing.T) {
+	s := New()
+	b := bytes.Repeat([]byte{7}, 8192)
+	s.Put(b)
+	if n := testing.AllocsPerRun(100, func() { s.Put(b) }); n != 0 {
+		t.Fatalf("dedup-hit Put allocated %.1f times per call, want 0", n)
+	}
+}
+
 func TestTamperEmptyChunk(t *testing.T) {
 	s := New()
 	a, _ := s.Put(nil)

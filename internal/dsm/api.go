@@ -67,13 +67,13 @@ func (p *Proc) Write(a mem.Addr, v uint64) {
 	case SingleWriter, EagerRC:
 		if !p.owned[pg] {
 			p.ownershipFaultLocked(pg)
-		} else if !p.writtenPages[pg] {
+		} else if !p.writtenPages.Has(pg) {
 			// Local protection fault: creates this interval's write notice.
 			p.vnow += m.PageFault
 			p.st.WriteFaults++
 			p.tel.Emit(p.id, telemetry.KPageFault, p.vnow, int64(pg), 1, 0)
 		}
-		p.writtenPages[pg] = true
+		p.writtenPages.Add(pg)
 	case MultiWriter:
 		if p.state[pg] == pageInvalid {
 			p.fetchFromHomeLocked(pg, true)
@@ -90,7 +90,7 @@ func (p *Proc) Write(a mem.Addr, v uint64) {
 			p.state[pg] = pageWritable
 		}
 		if !p.sys.cfg.WritesFromDiffs {
-			p.writtenPages[pg] = true
+			p.writtenPages.Add(pg)
 		}
 	}
 	p.seg.SetWord(a, v)
@@ -258,15 +258,11 @@ func (p *Proc) fetchFromHomeLocked(pg mem.PageID, write bool) {
 // release, paid whether or not anyone will ever read the data — that lazy
 // release consistency defers and piggybacks instead.
 func (p *Proc) eagerReleaseLocked() {
-	if len(p.pendingInval) == 0 {
+	if len(p.pendingInval.Pages()) == 0 {
 		return
 	}
-	pages := make([]mem.PageID, 0, len(p.pendingInval))
-	for pg := range p.pendingInval {
-		pages = append(pages, pg)
-	}
-	interval.SortPages(pages)
-	p.pendingInval = make(map[mem.PageID]bool)
+	pages := p.pendingInval.Sorted()
+	p.pendingInval.Clear()
 	v := p.vnow
 	acks := 0
 	for q := 0; q < p.n; q++ {
@@ -294,7 +290,7 @@ func (p *Proc) eagerReleaseLocked() {
 // overwritten with its existing value produces no diff entry and therefore
 // no notice — the paper's "slightly weaker correctness guarantee".
 func (p *Proc) flushDiffsLocked() {
-	if len(p.twins) == 0 && len(p.writtenPages) == 0 {
+	if len(p.twins) == 0 && len(p.writtenPages.Pages()) == 0 {
 		return
 	}
 	acks := 0
@@ -313,7 +309,7 @@ func (p *Proc) flushDiffsLocked() {
 				addr := base + mem.Addr(int(e.Word)*mem.WordSize)
 				p.builder.NoteWrite(addr)
 			}
-			p.writtenPages[pg] = true
+			p.writtenPages.Add(pg)
 		}
 		if p.home(pg) != p.id && len(entries) > 0 {
 			p.send(p.home(pg), &msg.DiffFlush{Page: pg, Entries: entries}, v)
@@ -322,7 +318,7 @@ func (p *Proc) flushDiffsLocked() {
 		delete(p.twins, pg)
 		p.state[pg] = pageReadOnly
 	}
-	for pg := range p.writtenPages {
+	for _, pg := range p.writtenPages.Pages() {
 		if p.state[pg] == pageWritable {
 			p.state[pg] = pageReadOnly
 		}

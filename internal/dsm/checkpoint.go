@@ -335,15 +335,6 @@ func b2u8(b bool) uint8 {
 	return 0
 }
 
-func sortedPageSet(m map[mem.PageID]bool) []mem.PageID {
-	out := make([]mem.PageID, 0, len(m))
-	for pg := range m {
-		out = append(out, pg)
-	}
-	interval.SortPages(out)
-	return out
-}
-
 // bitmapChunk serializes an access bitmap's words little-endian — the
 // chunkable payload form of mem.Bitmap.
 func bitmapChunk(b mem.Bitmap) []byte {
@@ -457,8 +448,8 @@ func (p *Proc) encodeCheckpointBody(e *msg.Encoder, put func([]byte)) {
 		put(p.twins[pg])
 	}
 
-	e.Pages(sortedPageSet(p.writtenPages))
-	e.Pages(sortedPageSet(p.pendingInval))
+	e.Pages(p.writtenPages.Sorted())
+	e.Pages(p.pendingInval.Sorted())
 
 	// Lock table: durable tenure state only. In-flight requests (awaiting,
 	// pending grants, replay deferrals) are transient and re-established by
@@ -833,13 +824,13 @@ func (p *Proc) restoreFromCheckpoint(ck *procCheckpoint) error {
 	for pg, tw := range ck.Twins {
 		p.twins[pg] = append([]byte(nil), tw...)
 	}
-	p.writtenPages = make(map[mem.PageID]bool, len(ck.Written))
+	p.writtenPages.Clear()
 	for _, pg := range ck.Written {
-		p.writtenPages[pg] = true
+		p.writtenPages.Add(pg)
 	}
-	p.pendingInval = make(map[mem.PageID]bool, len(ck.PendingInval))
+	p.pendingInval.Clear()
 	for _, pg := range ck.PendingInval {
-		p.pendingInval[pg] = true
+		p.pendingInval.Add(pg)
 	}
 	p.locks = make(map[int]*lockState, len(ck.Locks))
 	for _, lk := range ck.Locks {

@@ -121,8 +121,8 @@ type Proc struct {
 	epoch    int32
 
 	builder      *interval.Builder
-	writtenPages map[mem.PageID]bool // pages write-faulted in the open interval
-	pendingInval map[mem.PageID]bool // ERC: pages to invalidate at next release
+	writtenPages mem.PageSet // pages write-faulted in the open interval
+	pendingInval mem.PageSet // ERC: pages to invalidate at next release
 	store        *interval.BitmapStore
 	log          *interval.Log
 	epochRecords []*interval.Record
@@ -212,8 +212,8 @@ func newProc(s *System, id int) *Proc {
 		vcur:         vc.New(n),
 		curIndex:     1,
 		builder:      interval.NewBuilder(s.layout),
-		writtenPages: make(map[mem.PageID]bool),
-		pendingInval: make(map[mem.PageID]bool),
+		writtenPages: mem.NewPageSet(s.layout.NumPages),
+		pendingInval: mem.NewPageSet(s.layout.NumPages),
 		store:        interval.NewBitmapStore(),
 		log:          interval.NewLog(),
 		locks:        make(map[int]*lockState),
@@ -459,18 +459,15 @@ func (p *Proc) closeIntervalLocked() {
 		p.vnow += setup
 		p.st.TCVMMods += setup
 	} else {
-		rec = &interval.Record{ID: id, VC: p.vcur.Copy(), Epoch: p.epoch}
-		for pg := range p.writtenPages {
-			rec.WriteNotices = append(rec.WriteNotices, pg)
-		}
-		interval.SortPages(rec.WriteNotices)
+		rec = &interval.Record{ID: id, VC: p.vcur.Copy(), Epoch: p.epoch,
+			WriteNotices: p.writtenPages.Sorted()}
 	}
 	if p.sys.cfg.Protocol == EagerRC {
-		for pg := range p.writtenPages {
-			p.pendingInval[pg] = true
+		for _, pg := range p.writtenPages.Pages() {
+			p.pendingInval.Add(pg)
 		}
 	}
-	p.writtenPages = make(map[mem.PageID]bool)
+	p.writtenPages.Clear()
 	p.log.Add(rec)
 	p.epochRecords = append(p.epochRecords, rec)
 	p.st.IntervalsCreated++

@@ -36,6 +36,7 @@ type detector struct {
 	idx     []vc.Index
 	vcs     []vc.VC
 	bld     []*interval.Builder
+	spare   []*interval.Builder // drained builders of exited goroutines
 	store   *interval.BitmapStore
 	records []*interval.Record
 	reports []race.Report
@@ -80,7 +81,20 @@ func (d *detector) startG(g int, parentRel vc.VC) {
 	}
 	d.vcs[g][g] = 1
 	if d.enabled {
-		d.bld[g] = interval.NewBuilder(d.p.layout)
+		if n := len(d.spare); n > 0 {
+			d.bld[g], d.spare = d.spare[n-1], d.spare[:n-1]
+		} else {
+			d.bld[g] = interval.NewBuilder(d.p.layout)
+		}
+	}
+}
+
+// exitG hands goroutine g's builder, drained by its final closeInterval,
+// to the next goroutine spawned.
+func (d *detector) exitG(g int) {
+	if d.enabled {
+		d.spare = append(d.spare, d.bld[g])
+		d.bld[g] = nil
 	}
 }
 

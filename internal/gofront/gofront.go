@@ -250,6 +250,7 @@ func (g *G) exit() {
 	p := g.p
 	p.vt += costSync
 	g.final = p.det.closeInterval(g.id)
+	p.det.exitG(g.id)
 	p.emit(OpExit, g.id, g.id, 0, 0, 0)
 	for _, j := range g.joiners {
 		p.det.join(j.id, g.final)

@@ -2,6 +2,8 @@ package interval
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -345,5 +347,250 @@ func TestPropertyBuilderNotices(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The differential tests below drive the per-process tables of Log,
+// BitmapStore and Builder and a map-based reference model — the
+// representation they replaced — with the same seeded random operation
+// sequences, and require equal results in equal orders.
+
+// refLog is the reference model of Log.
+type refLog map[vc.IntervalID]*Record
+
+func (m refLog) add(r *Record) {
+	if m[r.ID] == nil {
+		m[r.ID] = r
+	}
+}
+
+// sorted returns the records that pass keep, in (proc, index) order.
+func (m refLog) sorted(keep func(vc.IntervalID) bool) []*Record {
+	var out []*Record
+	for id, r := range m {
+		if keep(id) {
+			out = append(out, r)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].ID.Proc != out[j].ID.Proc {
+			return out[i].ID.Proc < out[j].ID.Proc
+		}
+		return out[i].ID.Index < out[j].ID.Index
+	})
+	return out
+}
+
+func (m refLog) delta(theirs, cap vc.VC) []*Record {
+	return m.sorted(func(id vc.IntervalID) bool {
+		return id.Index > theirs[id.Proc] && (cap == nil || id.Index <= cap[id.Proc])
+	})
+}
+
+func (m refLog) prune(horizon vc.VC) {
+	for id := range m {
+		if id.Index <= horizon[id.Proc] {
+			delete(m, id)
+		}
+	}
+}
+
+func sameRecords(t *testing.T, what string, got, want []*Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s[%d] = %v, want %v", what, i, got[i].ID, want[i].ID)
+		}
+	}
+}
+
+func randVC(r *rand.Rand, nproc, max int) vc.VC {
+	v := vc.New(nproc)
+	for p := range v {
+		v[p] = vc.Index(r.Intn(max + 1))
+	}
+	return v
+}
+
+func TestDifferentialLog(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		nproc := 1 + r.Intn(4)
+		const maxIdx = 24
+		log, ref := NewLog(), refLog{}
+		for op := 0; op < 400; op++ {
+			switch k := r.Intn(10); {
+			case k < 5: // out-of-order and duplicate adds
+				rec := &Record{ID: vc.IntervalID{Proc: r.Intn(nproc), Index: vc.Index(1 + r.Intn(maxIdx))}, VC: vc.New(nproc)}
+				log.Add(rec)
+				ref.add(rec)
+			case k < 8:
+				theirs := randVC(r, nproc, maxIdx)
+				var cap vc.VC
+				if r.Intn(2) == 0 {
+					cap = randVC(r, nproc, maxIdx)
+				}
+				sameRecords(t, "DeltaCapped", log.DeltaCapped(theirs, cap), ref.delta(theirs, cap))
+			case k == 8:
+				h := randVC(r, nproc, maxIdx/3)
+				log.PruneBefore(h)
+				ref.prune(h)
+			default:
+				id := vc.IntervalID{Proc: r.Intn(nproc), Index: vc.Index(r.Intn(maxIdx + 1))}
+				if got, want := log.Get(id), ref[id]; got != want {
+					t.Fatalf("seed %d: Get(%v) = %p, want %p", seed, id, got, want)
+				}
+			}
+			if log.Len() != len(ref) {
+				t.Fatalf("seed %d op %d: Len = %d, want %d", seed, op, log.Len(), len(ref))
+			}
+		}
+		sameRecords(t, "Records", log.Records(), ref.sorted(func(vc.IntervalID) bool { return true }))
+	}
+}
+
+// refStore is the reference model of BitmapStore.
+type refKey struct {
+	id    vc.IntervalID
+	page  mem.PageID
+	write bool
+}
+
+type refStore map[refKey]mem.Bitmap
+
+func (m refStore) entries() []StoredBitmap {
+	var out []StoredBitmap
+	for k, bm := range m {
+		out = append(out, StoredBitmap{ID: k.id, Page: k.page, Write: k.write, Bits: bm})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Write != b.Write {
+			return !a.Write
+		}
+		if a.ID != b.ID {
+			if a.ID.Proc != b.ID.Proc {
+				return a.ID.Proc < b.ID.Proc
+			}
+			return a.ID.Index < b.ID.Index
+		}
+		return a.Page < b.Page
+	})
+	return out
+}
+
+func sameEntries(t *testing.T, what string, got, want []StoredBitmap) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.ID != w.ID || g.Page != w.Page || g.Write != w.Write || !slices.Equal(g.Bits, w.Bits) {
+			t.Fatalf("%s[%d] = %+v, want %+v", what, i, g, w)
+		}
+	}
+}
+
+func TestDifferentialBitmapStore(t *testing.T) {
+	l := layout(t)
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		nproc := 1 + r.Intn(3)
+		const maxIdx = 16
+		b := NewBuilder(l) // reused across every interval of the run
+		store, ref := NewBitmapStore(), refStore{}
+		next := make([]vc.Index, nproc)
+		for op := 0; op < 300; op++ {
+			switch k := r.Intn(10); {
+			case k < 5: // one interval through the reused builder; some empty
+				proc := r.Intn(nproc)
+				next[proc]++
+				id := vc.IntervalID{Proc: proc, Index: next[proc]}
+				if r.Intn(4) == 0 { // out of order, possibly onto a held interval
+					id.Index = vc.Index(1 + r.Intn(maxIdx))
+				}
+				want := map[refKey]mem.Bitmap{}
+				for n := r.Intn(3) * r.Intn(12); n > 0; n-- {
+					a := mem.Addr(r.Intn(l.Size()/mem.WordSize)) * mem.WordSize
+					key := refKey{id, l.Page(a), r.Intn(2) == 0}
+					if key.write {
+						b.NoteWrite(a)
+					} else {
+						b.NoteRead(a)
+					}
+					if want[key] == nil {
+						want[key] = mem.NewBitmap(l.WordsPerPage())
+					}
+					want[key].Set(l.WordInPage(a))
+				}
+				if b.BitmapCount() != len(want) || b.Empty() != (len(want) == 0) {
+					t.Fatalf("seed %d: BitmapCount = %d, want %d", seed, b.BitmapCount(), len(want))
+				}
+				rec := b.Finish(id, vc.New(nproc), 0, store)
+				if len(want) > 0 { // Finish replaces what the store held for id
+					for key := range ref {
+						if key.id == id {
+							delete(ref, key)
+						}
+					}
+				}
+				var wantR, wantW []mem.PageID
+				for key, bm := range want {
+					ref[key] = bm
+					if key.write {
+						wantW = append(wantW, key.page)
+					} else {
+						wantR = append(wantR, key.page)
+					}
+				}
+				slices.Sort(wantR)
+				slices.Sort(wantW)
+				if !slices.Equal(rec.ReadNotices, wantR) || !slices.Equal(rec.WriteNotices, wantW) {
+					t.Fatalf("seed %d: notices %v/%v, want %v/%v", seed, rec.ReadNotices, rec.WriteNotices, wantR, wantW)
+				}
+			case k < 7:
+				id := vc.IntervalID{Proc: r.Intn(nproc), Index: vc.Index(1 + r.Intn(maxIdx))}
+				pg := mem.PageID(r.Intn(l.NumPages))
+				write := r.Intn(2) == 0
+				bm := mem.NewBitmap(l.WordsPerPage())
+				bm.Set(r.Intn(l.WordsPerPage()))
+				store.Put(id, pg, write, bm)
+				ref[refKey{id, pg, write}] = bm
+			case k == 7:
+				proc, hi := r.Intn(nproc), vc.Index(r.Intn(maxIdx/2))
+				store.DiscardUpTo(proc, hi)
+				for key := range ref {
+					if key.id.Proc == proc && key.id.Index <= hi {
+						delete(ref, key)
+					}
+				}
+			default:
+				id := vc.IntervalID{Proc: r.Intn(nproc), Index: vc.Index(r.Intn(maxIdx + 1))}
+				pg := mem.PageID(r.Intn(l.NumPages))
+				rd, wr := store.Get(id, pg)
+				if !slices.Equal(rd, ref[refKey{id, pg, false}]) || !slices.Equal(wr, ref[refKey{id, pg, true}]) {
+					t.Fatalf("seed %d: Get(%v, %d) differs from the reference", seed, id, pg)
+				}
+			}
+			if store.Len() != len(ref) {
+				t.Fatalf("seed %d op %d: Len = %d, want %d", seed, op, store.Len(), len(ref))
+			}
+		}
+		ents := store.Entries()
+		sameEntries(t, "Entries", ents, ref.entries())
+
+		// Checkpoint-restore round trip: Put every entry into a fresh store.
+		restored := NewBitmapStore()
+		for _, en := range ents {
+			restored.Put(en.ID, en.Page, en.Write, en.Bits)
+		}
+		sameEntries(t, "restored Entries", restored.Entries(), ents)
+		if restored.Len() != store.Len() {
+			t.Fatalf("seed %d: restored Len = %d, want %d", seed, restored.Len(), store.Len())
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -201,5 +202,29 @@ func TestPropertyOverlapConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestPageSet(t *testing.T) {
+	s := NewPageSet(8)
+	for _, p := range []PageID{5, 1, 5, 7, 1} {
+		s.Add(p)
+	}
+	if got := s.Pages(); !slices.Equal(got, []PageID{5, 1, 7}) {
+		t.Errorf("Pages = %v, want insertion order [5 1 7]", got)
+	}
+	if got := s.Sorted(); !slices.Equal(got, []PageID{1, 5, 7}) {
+		t.Errorf("Sorted = %v, want [1 5 7]", got)
+	}
+	if !s.Has(7) || s.Has(0) {
+		t.Error("Has membership wrong")
+	}
+	s.Clear()
+	if len(s.Pages()) != 0 || s.Has(5) || s.Sorted() != nil {
+		t.Error("Clear left members behind")
+	}
+	s.Add(5)
+	if got := s.Pages(); !slices.Equal(got, []PageID{5}) {
+		t.Errorf("Pages after reuse = %v, want [5]", got)
 	}
 }
